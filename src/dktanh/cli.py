@@ -55,7 +55,7 @@ _COMMON_KEYS = _PARAM_KEYS + (
 _COMMAND_KEYS = {
     "evolve": ("t0", "t1", "points"),
     "scan1d": ("axis", "sample_time"),
-    "interferogram": ("axis1", "axis2", "observable", "sample_time", "workers"),
+    "interferogram": ("axis1", "axis2", "observable", "sample_time"),
     "energy-map": ("axis1", "axis2", "part", "time"),
     "compare": ("t0", "t1", "points", "bar"),
     "limits": ("model", "t0", "t1", "points", "bar"),
@@ -75,14 +75,17 @@ _BUILTIN_DEFAULTS = {
     "observable": "population2",
     "part": "reE",
     "time": 0.0,
-    "workers": 1,
     "quick": False,
 }
 _FLOAT_KEYS = frozenset(
     _PARAM_KEYS + ("rel_tol", "abs_tol", "t0", "t1", "bar", "time", "sample_time")
 )
-_INT_KEYS = frozenset(("points", "seed", "workers"))
+_INT_KEYS = frozenset(("points", "seed"))
 _BOOL_KEYS = frozenset(("quick",))
+
+
+# typed failures of the numerical layers (exit code 1)
+_NUMERICAL_ERRORS = (ScanError, IntegratorError, SpecFunError, DegenerateParameterError)
 
 
 class ConfigError(ValueError):
@@ -306,7 +309,6 @@ def _run_interferogram(cfg: RunConfig):
         solver="numeric" if solver == "both" else solver,
         rel_tol=cfg.settings["rel_tol"], abs_tol=cfg.settings["abs_tol"],
         sample_time=cfg.settings.get("sample_time"),
-        workers=int(cfg.settings["workers"]),
     )
     return _emit_scan(cfg, result, "map", image=True)
 
@@ -485,7 +487,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--axis2", help="name:min:max:count (columns)")
     sp.add_argument("--observable", choices=("population1", "population2"))
     sp.add_argument("--sample-time", type=float, dest="sample_time")
-    sp.add_argument("--workers", type=int)
 
     sp = sub.add_parser("energy-map", parents=[common], help="Re/Im energy or zone map")
     sp.add_argument("--axis1", help="name:min:max:count (rows)")
@@ -536,12 +537,16 @@ def main(argv=None) -> int:
         except ConfigError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        except (ScanError, IntegratorError, SpecFunError, DegenerateParameterError) as exc:
+        except _NUMERICAL_ERRORS + (ArithmeticError,) as exc:
+            error = str(exc)
+            if not isinstance(exc, _NUMERICAL_ERRORS):
+                # a bare OverflowError says only "math range error": name it
+                error = f"{type(exc).__name__}: {error}"
             manifest.setdefault("warnings", [])
-            manifest["error"] = str(exc)
+            manifest["error"] = error
             manifest["config"] = cfg.manifest_echo()
             write_manifest(cfg.outdir / "manifest.json", manifest)
-            print(f"numerical failure: {exc}", file=sys.stderr)
+            print(f"numerical failure: {error}", file=sys.stderr)
             return 1
         manifest["config"] = cfg.manifest_echo()
         write_manifest(cfg.outdir / "manifest.json", manifest)

@@ -1,12 +1,12 @@
 """Batch experiment layer: 1-D sweeps, 2-D maps, energy diagrams, comparisons.
 
 Grid points are independent pure computations written into a preallocated
-matrix by index, so results do not depend on evaluation order or worker
-count.  Output formats are fixed and bit-reproducible: CSV with header
-``axis1,axis2,value`` and every number in ``%.12e``, binary 8-bit PGM (P5)
-images with min-max normalisation recorded in the manifest, and a JSON
-manifest (sorted keys) holding parameters, solver settings, tolerances,
-warnings, the maximum deviation where applicable, and wall time.
+matrix by index, so results do not depend on evaluation order.  Output
+formats are fixed and bit-reproducible: CSV with header ``axis1,axis2,value``
+and every number in ``%.12e``, binary 8-bit PGM (P5) images with min-max
+normalisation recorded in the manifest, and a JSON manifest (sorted keys)
+holding parameters, solver settings, tolerances, warnings, the maximum
+deviation where applicable, and wall time.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import datetime as _dt
 import json
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 import numpy as np
@@ -95,6 +94,7 @@ class CompareReport:
     times: np.ndarray
     analytic: np.ndarray  # (n, 2) populations
     numeric: np.ndarray  # (n, 2) populations
+    deviation: np.ndarray  # (n,) scaled deviation, the larger of the two levels
     max_deviation: float
     mean_deviation: float
     bar: float
@@ -235,29 +235,17 @@ def run_time_series(
     return ScanResult((axis,), values, "population2", manifest)
 
 
-def _grid_fill(shape, cell, workers: int):
-    """Evaluate ``cell(i, j)`` over the full index grid into a fresh array.
-
-    Results land by index, so any worker count gives identical output.
-    """
+def _grid_fill(shape, cell):
+    """Evaluate ``cell(i, j)`` over the full index grid into a fresh array."""
     values = np.empty(shape)
-    indices = [(i, j) for i in range(shape[0]) for j in range(shape[1])]
     errors: list[str] = []
-
-    def task(ij):
-        i, j = ij
-        try:
-            values[i, j] = cell(i, j)
-        except (SpecFunError, IntegratorError, DegenerateParameterError) as exc:
-            values[i, j] = np.nan
-            errors.append(f"({i},{j}): {exc}")
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(task, indices))
-    else:
-        for ij in indices:
-            task(ij)
+    for i in range(shape[0]):
+        for j in range(shape[1]):
+            try:
+                values[i, j] = cell(i, j)
+            except (SpecFunError, IntegratorError, DegenerateParameterError) as exc:
+                values[i, j] = np.nan
+                errors.append(f"({i},{j}): {exc}")
     return values, errors
 
 
@@ -270,7 +258,6 @@ def run_interferogram(
     rel_tol: float = 1e-10,
     abs_tol: float = 1e-10,
     sample_time: float | None = None,
-    workers: int = 1,
 ) -> ScanResult:
     """Dense 2-D population map over two distinct axes (row-major in ax1).
 
@@ -333,7 +320,7 @@ def run_interferogram(
             pij, hp = _analytic_params(pij, manifest)
             return float(_analytic_population_row(pij, hp, t_end, w0, psi0)[comp])
 
-        values, errors = _grid_fill((ax1.count, ax2.count), cell, workers)
+        values, errors = _grid_fill((ax1.count, ax2.count), cell)
         if len(errors) > max(1, (ax1.count * ax2.count) // 100):
             manifest["warnings"].extend(errors)
             raise ScanError(f"more than 1% of grid failed: {errors[:3]}")
@@ -479,6 +466,7 @@ def run_compare(
         times=ts,
         analytic=analytic,
         numeric=numeric,
+        deviation=dev.max(axis=1),
         max_deviation=max_dev,
         mean_deviation=float(dev.mean()),
         bar=float(bar),
@@ -556,12 +544,7 @@ def write_compare_csv(path, report: CompareReport) -> Path:
     path = Path(path)
     lines = ["t,population1_analytic,population2_analytic,population1_numeric,population2_numeric,deviation"]
     for i, t in enumerate(report.times):
-        dev = max(
-            abs(report.analytic[i, k] - report.numeric[i, k])
-            / max(1.0, abs(report.numeric[i, k]))
-            for k in (0, 1)
-        )
-        row = (t, *report.analytic[i], *report.numeric[i], dev)
+        row = (t, *report.analytic[i], *report.numeric[i], report.deviation[i])
         lines.append(",".join(_FMT % v for v in row))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path

@@ -10,7 +10,15 @@ the confluent series runs in numpy extended precision):
   reflection formula for Re z < 1/2.
 * ``hyp2f1``  - direct Gauss series for |z| <= 1/2, argument transformations
   z -> 1-z and z -> z/(z-1) otherwise, with a parameter-perturbation limit
-  for the logarithmic (integer c-a-b) cases.
+  for the logarithmic (integer c-a-b) cases.  Work that depends only on the
+  parameter triple is done once per triple and kept in two small LRU memos:
+  one holds, per triple on the 1-z route, the seven gamma factors of the
+  connection formula and the term ratios of its two series; the other holds
+  the term ratios (a+n)(b+n)/((c+n)(n+1)) of each series summed directly.
+  Ratios grow to the deepest term any argument has needed.  Each memo holds
+  one parameter set's working set, and the cached factors are multiplied in
+  the same order as when they were computed per point, so results are
+  bit-identical to that.
 * ``kummer_m`` - confluent series, switching to the large-argument expansion
   when |z| > 20 (needed by ``pcf_d`` out to |z^2/2| ~ 30 and beyond).
 * ``pcf_d``   - Weber parabolic cylinder function from the standard two-term
@@ -20,6 +28,7 @@ the confluent series runs in numpy extended precision):
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 
 import numpy as np
@@ -119,12 +128,35 @@ def rgamma(z) -> complex:
 # ---------------------------------------------------------------------------
 
 
-def _gauss_series(a: complex, b: complex, c: complex, z: complex) -> complex:
+# One HyperParams evaluates four 2F1 triples at every point; the logarithmic
+# case adds a c +/- eps pair for each, and the z -> z/(z-1) route sums the
+# series of a derived triple.  A few dozen entries hold that working set.
+_MEMO_SIZE = 32
+
+
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _series_ratios(a: complex, b: complex, c: complex) -> list:
+    """Ratio slot of the Gauss series of (a, b, c).
+
+    A slot is a one-element list holding the known term ratios
+    (a+n)(b+n)/((c+n)(n+1)) as a tuple.  ``_gauss_series`` only ever replaces
+    that tuple with a longer one, so a caller that has read it never sees a
+    ratio move under it.
+    """
+    return [()]
+
+
+def _gauss_series(
+    a: complex, b: complex, c: complex, z: complex, slot: list | None = None
+) -> complex:
+    if slot is None:
+        slot = _series_ratios(a, b, c)
+    known = slot[0]
     term = 1.0 + 0j
     total = 1.0 + 0j
     small = 0
-    for n in range(_MAX_TERMS):
-        term *= (a + n) * (b + n) / ((c + n) * (n + 1)) * z
+    for r in known:
+        term *= r * z
         total += term
         if abs(term) <= _SERIES_TOL * abs(total):
             small += 1
@@ -132,9 +164,45 @@ def _gauss_series(a: complex, b: complex, c: complex, z: complex) -> complex:
                 return total
         else:
             small = 0
+    # deeper than any earlier argument of this triple: the same loop, with
+    # the new ratios computed and recorded
+    ratios = list(known)
+    try:
+        for n in range(len(known), _MAX_TERMS):
+            r = (a + n) * (b + n) / ((c + n) * (n + 1))
+            ratios.append(r)
+            term *= r * z
+            total += term
+            if abs(term) <= _SERIES_TOL * abs(total):
+                small += 1
+                if small >= 2:
+                    return total
+            else:
+                small = 0
+    finally:
+        slot[0] = tuple(ratios)
     raise ConvergenceError(
         f"2F1 series did not converge in {_MAX_TERMS} terms "
         f"(a={a}, b={b}, c={c}, z={z})"
+    )
+
+
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _connection(a: complex, b: complex, c: complex) -> tuple:
+    """The z-independent parts of the 1-z formula for (a, b, c), d = c-a-b:
+    Gamma(c), Gamma(d), 1/Gamma(c-a), 1/Gamma(c-b), Gamma(-d), 1/Gamma(a),
+    1/Gamma(b), and the ratio slots of its two series."""
+    d = c - a - b
+    return (
+        cgamma(c),
+        cgamma(d),
+        rgamma(c - a),
+        rgamma(c - b),
+        cgamma(-d),
+        rgamma(a),
+        rgamma(b),
+        [()],
+        [()],
     )
 
 
@@ -143,20 +211,15 @@ def _one_minus_z_formula(
 ) -> complex:
     # valid when d = c-a-b is not an integer
     d = c - a - b
-    t1 = (
-        cgamma(c)
-        * cgamma(d)
-        * rgamma(c - a)
-        * rgamma(c - b)
-        * _gauss_series(a, b, 1.0 - d, omz)
-    )
+    g_c, g_d, rg_ca, rg_cb, g_md, rg_a, rg_b, slot1, slot2 = _connection(a, b, c)
+    t1 = g_c * g_d * rg_ca * rg_cb * _gauss_series(a, b, 1.0 - d, omz, slot1)
     t2 = (
         cmath.exp(d * cmath.log(omz))
-        * cgamma(c)
-        * cgamma(-d)
-        * rgamma(a)
-        * rgamma(b)
-        * _gauss_series(c - a, c - b, 1.0 + d, omz)
+        * g_c
+        * g_md
+        * rg_a
+        * rg_b
+        * _gauss_series(c - a, c - b, 1.0 + d, omz, slot2)
     )
     return t1 + t2
 
@@ -240,8 +303,11 @@ _M_ASYMPTOTIC_CUTOFF = 20.0
 # double precision cannot absorb at the required accuracy, so the sum runs
 # in numpy extended precision there (80-bit on x86; ~19 digits).  The
 # extended route is exact-input arithmetic, so it holds full accuracy out to
-# |z^2/2| ~ 26 (|z| ~ 7.2); the purely imaginary axis — the linear-crossing
-# ray, where the combination is well conditioned — keeps the fast path.
+# |z^2/2| ~ 26 (|z| ~ 7.2).  Only an argument whose z^2/2 is exactly
+# imaginary (real part 0.0) keeps the double path.  The linear-crossing ray
+# z = r e^(i pi/4) is not such an argument in floating point: cos(pi/4) and
+# sin(pi/4) differ by 1 ulp, so Re(z^2/2) != 0 and the ray takes the
+# extended route for 3 < |z^2/2| <= 26.
 _M_EXTENDED_CUTOFF = 3.0
 _PCF_EXTENDED_MAX = 26.0
 
@@ -562,9 +628,11 @@ def pcf_d(nu, z) -> complex:
     routes by region: the deep recessive right half goes through the
     cancellation-free integral representation (with upward order recurrence),
     the remaining moderate-|z| regions through the combination in extended
-    precision, and the well-conditioned imaginary axis — the linear-crossing
-    ray — stays on the fast double path.  Full accuracy holds for |z| <= ~7
-    and along the imaginary z^2-axis for any |z|.
+    precision, and only arguments with Re(z^2/2) exactly 0.0 stay on the
+    double path there.  The linear-crossing ray z = r e^(i pi/4) misses that
+    axis by rounding (cos(pi/4) != sin(pi/4) by 1 ulp), so for
+    3 < |z^2/2| <= 26 it runs on the extended route.  Full accuracy holds for
+    |z| <= ~7 and along the imaginary z^2-axis for any |z|.
     """
     nu = complex(nu)
     z = complex(z)

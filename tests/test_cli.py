@@ -44,6 +44,28 @@ class TestExitCodes:
         manifest = read_manifest(out)
         assert "error" in manifest
 
+    def test_gamma_overflow_exits_one_with_manifest(self, tmp_path, capsys):
+        # at P/alpha = 300 the gamma reflection overflows in cmath.sin
+        out = tmp_path / "r"
+        rc = main([
+            "evolve", "--solver", "analytic", "--P", "300", "--kappa", "5",
+            "--delta", "1", "--t0", "-10", "--t1", "10", "-o", str(out),
+        ])
+        assert rc == 1
+        manifest = read_manifest(out)
+        assert manifest["error"].startswith("OverflowError")
+        assert manifest["config"]["settings"]["P"] == 300.0
+        assert "numerical failure" in capsys.readouterr().err
+        assert not (out / "run.lock").exists()
+
+    def test_workers_option_is_gone(self, tmp_path, capsys):
+        rc = main([
+            "interferogram", "--preset", "fig3b3", "--workers", "2",
+            "-o", str(tmp_path / "r"),
+        ])
+        assert rc == 2
+        assert "--workers" in capsys.readouterr().err
+
     def test_success_exit_zero(self, tmp_path):
         rc = main([
             "evolve", "--preset", "fig2a2", "--points", "20",

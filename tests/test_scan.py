@@ -14,6 +14,7 @@ from dktanh.scan import (
     run_param_scan,
     run_time_series,
     scaled_deviation,
+    write_compare_csv,
     write_csv,
     write_manifest,
     write_pgm,
@@ -181,6 +182,18 @@ class TestCompare:
     def test_n_validation(self):
         with pytest.raises(ValueError):
             run_compare(FIG2_LOSSY, (-1, 1), n=1)
+
+    def test_csv_deviation_column_is_the_report_deviation(self, tmp_path):
+        report = run_compare(FIG2_LOSSY, (-10, 10), n=20)
+        assert report.deviation.shape == (20,)
+        assert report.deviation.max() == report.max_deviation
+        for i in range(20):
+            assert report.deviation[i] == scaled_deviation(
+                report.analytic[i], report.numeric[i])
+        path = write_compare_csv(tmp_path / "compare.csv", report)
+        rows = path.read_text().splitlines()[1:]
+        assert [row.split(",")[-1] for row in rows] == [
+            "%.12e" % d for d in report.deviation]
 
 
 class TestAnalyticSolver:

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from dktanh import specfun
 from dktanh.propagator import hyper_params
 from dktanh.model import ModelParams
 from dktanh.specfun import (
@@ -130,6 +131,120 @@ class TestHyp2f1:
         # c-a-b integer and the argument beyond the plain-series region
         ref = complex(mp.hyp2f1(1, 1, 2, 0.97))
         assert abs(hyp2f1(1, 1, 2, 0.97) - ref) < 1e-8
+
+
+def _clear_memos():
+    specfun._series_ratios.cache_clear()
+    specfun._connection.cache_clear()
+
+
+# (a, b, c, z) on each hyp2f1 route
+ROUTE_CASES = {
+    "series": (0.5 + 2j, 1 - 1j, 2 + 0.5j, 0.3),
+    "one_minus_z": (0.5 + 2j, 1 - 1j, 2 + 0.5j, 0.8),
+    "pfaff": (0.5 + 2j, 1 - 1j, 2 + 0.5j, -2.0),
+    # c-a-b = 1 + 2e-7: the c +/- eps limit of the logarithmic case ...
+    "logarithmic": (1 + 0.5j, 0.5 - 0.25j, 2.5 + 0.25j + 2e-7, 0.97),
+    # ... and its plain-series branch
+    "logarithmic_series": (1 + 0.5j, 0.5 - 0.25j, 2.5 + 0.25j + 2e-7, 0.9),
+    # the basis functions of the lossy figure-2 point
+    "basis": (HP.rho, HP.omega, HP.gamma, 0.93),
+    "basis_shifted": (HP.rho - HP.gamma + 2, HP.omega - HP.gamma + 2, 3 - HP.gamma, 0.93),
+}
+
+
+def _direct_gauss_series(a, b, c, z):
+    # the per-point recurrence the ratio memo replaces
+    term = total = 1.0 + 0j
+    small = 0
+    for n in range(2000):
+        term *= (a + n) * (b + n) / ((c + n) * (n + 1)) * z
+        total += term
+        if abs(term) <= 1e-17 * abs(total):
+            small += 1
+            if small >= 2:
+                return total
+        else:
+            small = 0
+    raise AssertionError("no convergence")
+
+
+class TestHyp2f1Memo:
+    def test_cold_warm_and_interleaved_values_are_identical(self):
+        cold = {}
+        for name, args in ROUTE_CASES.items():
+            _clear_memos()
+            cold[name] = hyp2f1(*args)
+        for name, args in ROUTE_CASES.items():
+            assert hyp2f1(*args) == cold[name], name
+        # other arguments of every triple in between grow the ratio memos
+        # past the depth the cold values needed
+        for name, args in reversed(ROUTE_CASES.items()):
+            for other in ROUTE_CASES.values():
+                hyp2f1(*other[:3], 0.999)
+                hyp2f1(*other[:3], 0.1)
+            assert hyp2f1(*args) == cold[name], name
+        assert specfun._connection.cache_info().hits > 0
+        assert specfun._series_ratios.cache_info().hits > 0
+
+    def test_series_matches_direct_recurrence(self):
+        _clear_memos()
+        a, b, c = 0.5 + 2j, 1 - 1j, 2 + 0.5j
+        for z in (0.1, 0.45, 0.2, 0.9, 0.3):
+            assert specfun._gauss_series(a, b, c, z) == _direct_gauss_series(a, b, c, z)
+
+    def test_one_minus_z_matches_direct_formula(self):
+        _clear_memos()
+        for a, b, c, z in (ROUTE_CASES["one_minus_z"], ROUTE_CASES["basis"]):
+            d = c - a - b
+            omz = 1.0 - z
+            direct = (
+                cgamma(c) * cgamma(d) * rgamma(c - a) * rgamma(c - b)
+                * _direct_gauss_series(a, b, 1.0 - d, omz)
+            ) + (
+                cmath.exp(d * cmath.log(omz)) * cgamma(c) * cgamma(-d)
+                * rgamma(a) * rgamma(b)
+                * _direct_gauss_series(c - a, c - b, 1.0 + d, omz)
+            )
+            for _ in range(2):  # cold, then warm
+                assert hyp2f1(a, b, c, z) == direct
+
+    def test_ratio_entries_grow_by_replacement(self):
+        _clear_memos()
+        a, b, c = 0.5 + 2j, 1 - 1j, 2 + 0.5j
+        slot = specfun._series_ratios(a, b, c)
+        hyp2f1(a, b, c, 0.1)
+        shallow = slot[0]
+        hyp2f1(a, b, c, 0.45)
+        deep = slot[0]
+        assert len(deep) > len(shallow) > 0
+        assert deep[: len(shallow)] == shallow
+        hyp2f1(a, b, c, 0.1)
+        assert slot[0] is deep
+
+    def test_memos_are_bounded(self):
+        _clear_memos()
+        for k in range(200):
+            hyp2f1(0.5 + 0.01j * k, 1 - 1j, 2 + 0.5j, 0.3)
+            hyp2f1(0.5 + 0.01j * k, 1 - 1j, 2 + 0.5j, 0.8)
+        for memo in (specfun._series_ratios, specfun._connection):
+            info = memo.cache_info()
+            assert info.maxsize is not None and info.maxsize <= 64
+            assert info.currsize == info.maxsize
+
+    def test_errors_are_raised_on_every_call(self):
+        _clear_memos()
+        for _ in range(3):
+            with pytest.raises(PoleError):
+                hyp2f1(1, 2, -3, 0.5)
+            with pytest.raises(PoleError):
+                hyp2f1_derivative(1, 2, -3, 0.5)
+            with pytest.raises(PoleError):
+                specfun._connection(0.5 + 0j, 0.25 + 0j, -2 + 0j)
+            # gamma reflection overflows in sin(pi c) at Im c = 300
+            with pytest.raises(OverflowError):
+                hyp2f1(1, 0.5, 0.2 + 300j, 0.8)
+        assert specfun._connection.cache_info().currsize == 0
 
 
 class TestHyp2f1Derivative:
