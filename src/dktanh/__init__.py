@@ -53,6 +53,7 @@ from .propagator import (
     analytic_propagator,
     basis_solutions,
     hyper_params,
+    sweep_propagator,
     transition_probabilities,
     x_of_t,
 )
@@ -77,6 +78,7 @@ from .specfun import (
     SpecFunError,
     cgamma,
     hyp2f1,
+    hyp2f1_array,
     hyp2f1_derivative,
     kummer_m,
     pcf_d,

@@ -7,6 +7,16 @@ and every number in ``%.12e``, binary 8-bit PGM (P5) images with min-max
 normalisation recorded in the manifest, and a JSON manifest (sorted keys)
 holding parameters, solver settings, tolerances, warnings, the maximum
 deviation where applicable, and wall time.
+
+The analytic solver evaluates many points at one HyperParams on the
+propagator's array route, one call per grid: analytic time series, the
+analytic half of ``run_compare``, each column of an interferogram's time
+axis, and each row of an interferogram's beta axis (beta enters only
+through the sweep argument).  Grids shorter than _ARRAY_ROUTE_MIN_POINTS,
+``run_param_scan`` and parametric maps without a beta axis take the scalar
+route, one call per point: their HyperParams change from point to point, and
+for a single point the array route's fixed cost is 2-30 times the scalar
+cost.  Both routes give the same values.
 """
 
 from __future__ import annotations
@@ -21,7 +31,12 @@ import numpy as np
 
 from .integrator import IntegrationSpec, IntegratorError, evolve, evolve_dense
 from .model import ModelParams, asymptotic_window
-from .propagator import DegenerateParameterError, analytic_propagator, hyper_params
+from .propagator import (
+    DegenerateParameterError,
+    analytic_propagator,
+    hyper_params,
+    sweep_propagator,
+)
 from .specfun import SpecFunError
 
 __all__ = [
@@ -141,6 +156,18 @@ def _finalize(manifest: dict, t_start: float) -> None:
     manifest["wall_time_ms"] = round(1000.0 * (time.perf_counter() - t_start), 3)
 
 
+# failures of one cell or column; anything else aborts the run as it is
+_CELL_ERRORS = (SpecFunError, IntegratorError, DegenerateParameterError)
+
+
+def _cell_failure(manifest: dict, where: str, exc: Exception) -> ScanError:
+    """The ScanError for the first cell or column that failed, naming its
+    cause, which is also recorded in the manifest warnings."""
+    message = f"{where}: {exc}"
+    manifest["warnings"].append(message)
+    return ScanError(f"scan failed at {message}")
+
+
 def _check_finite(values: np.ndarray, manifest: dict) -> None:
     if not np.all(np.isfinite(values)):
         n_bad = int(np.size(values) - np.count_nonzero(np.isfinite(values)))
@@ -174,10 +201,23 @@ def _analytic_params(p: ModelParams, manifest: dict):
         raise last
 
 
-def _analytic_population_row(p, hp, t, t0, psi0):
-    U = analytic_propagator(t, t0, p, hp)
-    psi = U @ psi0
-    return np.abs(psi) ** 2
+def _populations(U: np.ndarray) -> np.ndarray:
+    """Level populations after U (one matrix or a stack) from state 1."""
+    return np.abs(U[..., 0]) ** 2
+
+
+# Below this many points one scalar propagator call per point is cheaper
+# than one call on the array route, whose fixed cost is ~0.5 ms (measured
+# crossover 16-24 points, 2-vCPU Xeon, Python 3.11, numpy 2.4).  Both routes
+# give the same values.
+_ARRAY_ROUTE_MIN_POINTS = 16
+
+
+def _analytic_series(p, hp, ts: np.ndarray, t0: float) -> np.ndarray:
+    """Populations at the times ts, from state 1 at t0."""
+    if ts.size < _ARRAY_ROUTE_MIN_POINTS:
+        return np.array([_populations(analytic_propagator(t, t0, p, hp)) for t in ts])
+    return _populations(analytic_propagator(ts, t0, p, hp))
 
 
 def run_time_series(
@@ -214,7 +254,7 @@ def run_time_series(
         blocks.append(num)
     if solver in ("analytic", "both"):
         pa, hp = _analytic_params(p, manifest)
-        ana = np.array([_analytic_population_row(pa, hp, t, t0, psi0) for t in ts])
+        ana = _analytic_series(pa, hp, ts, t0)
         if solver == "analytic":
             columns += ["population1", "population2"]
         else:
@@ -235,18 +275,64 @@ def run_time_series(
     return ScanResult((axis,), values, "population2", manifest)
 
 
-def _grid_fill(shape, cell):
+def _grid_fill(shape, cell, manifest: dict) -> np.ndarray:
     """Evaluate ``cell(i, j)`` over the full index grid into a fresh array."""
     values = np.empty(shape)
-    errors: list[str] = []
     for i in range(shape[0]):
         for j in range(shape[1]):
             try:
                 values[i, j] = cell(i, j)
-            except (SpecFunError, IntegratorError, DegenerateParameterError) as exc:
-                values[i, j] = np.nan
-                errors.append(f"({i},{j}): {exc}")
-    return values, errors
+            except _CELL_ERRORS as exc:
+                raise _cell_failure(manifest, f"({i},{j})", exc) from exc
+    return values
+
+
+def _beta_rows(p, ax1, ax2, comp, sample_time, manifest) -> np.ndarray:
+    """Analytic map with a beta axis, one ``sweep_propagator`` call per value
+    of the other axis.
+
+    beta enters the propagator only through the sweep arguments u = alpha t
+    + beta and u0 = alpha w0 + beta of each cell (w0 is the start of the
+    cell's own window), so a row of beta values shares one HyperParams.
+    Cell values and degeneracy warnings equal those of the cell-by-cell map,
+    warnings in its row-major order.
+    """
+    beta_first = ax1.name == "beta"
+    beta_grid, other, other_grid = (
+        (ax1.grid(), ax2, ax2.grid()) if beta_first else (ax2.grid(), ax1, ax1.grid())
+    )
+    values = np.empty((ax1.count, ax2.count))
+    notes: list[list[str]] = []  # the degeneracy warning of each row, if any
+    for k, v in enumerate(other_grid):
+        pk = _override(p, other.name, v)
+        if k == 0 or other.name == "alpha":
+            # a cell's window depends on its alpha and beta only
+            w0, w1 = np.array(
+                [asymptotic_window(_override(pk, "beta", b)) for b in beta_grid]
+            ).T
+            t_end = w1 if sample_time is None else np.full(w1.shape, float(sample_time))
+        found = {"warnings": []}
+        try:
+            pa, hp = _analytic_params(pk, found)
+            U = sweep_propagator(
+                pa.alpha * t_end + beta_grid, pa.alpha * w0 + beta_grid, pa, hp
+            )
+        except _CELL_ERRORS as exc:
+            manifest["warnings"].extend(w for row in notes for w in row)
+            raise _cell_failure(manifest, f"{other.name}={v}", exc) from exc
+        notes.append(found["warnings"])
+        pops = _populations(U)[:, comp]
+        if beta_first:
+            values[:, k] = pops
+        else:
+            values[k, :] = pops
+    rows = range(beta_grid.size)
+    manifest["warnings"].extend(
+        [w for _ in rows for row in notes for w in row]
+        if beta_first
+        else [w for row in notes for w in row for _ in rows]
+    )
+    return values
 
 
 def run_interferogram(
@@ -264,8 +350,15 @@ def run_interferogram(
     A time axis is evolved in one pass per row/column of the other axis; a
     purely parametric map is sampled at ``sample_time`` (default: the
     saturated end of each cell's sweep window) starting from the saturated
-    beginning.  Failed cells (more than 1% aborts the run outright) are
-    retried with the documented delta perturbation before giving up.
+    beginning.  A degenerate hypergeometric index is cleared with the
+    documented delta perturbation (recorded in the manifest warnings); the
+    first cell or column that still fails aborts the run with a ScanError
+    naming its cause, also recorded in the warnings.
+
+    The analytic solver evaluates a time axis column by column on the array
+    route of the propagator, and a beta axis row by row (see ``_beta_rows``);
+    other parametric maps need a fresh HyperParams per cell and take the
+    scalar route.
     """
     if ax1.name == ax2.name:
         raise ValueError("interferogram axes must differ")
@@ -285,7 +378,6 @@ def run_interferogram(
         par_axis = ax2 if t_first else ax1
         par_grid = g2 if t_first else g1
         values = np.empty((ax1.count, ax2.count))
-        errors: list[str] = []
         for k, v in enumerate(par_grid):
             pk = _override(p, par_axis.name, v)
             t0 = min(float(t_grid[0]), asymptotic_window(pk)[0])
@@ -295,19 +387,17 @@ def run_interferogram(
                     pops = np.abs(evolve_dense(pk, spec, t_grid, psi0)) ** 2
                 else:
                     pa, hp = _analytic_params(pk, manifest)
-                    pops = np.array(
-                        [_analytic_population_row(pa, hp, t, t0, psi0) for t in t_grid]
-                    )
-            except (SpecFunError, IntegratorError, DegenerateParameterError) as exc:
-                errors.append(f"{par_axis.name}={v}: {exc}")
-                pops = np.full((t_grid.size, 2), np.nan)
+                    pops = _analytic_series(pa, hp, t_grid, t0)
+            except _CELL_ERRORS as exc:
+                raise _cell_failure(manifest, f"{par_axis.name}={v}", exc) from exc
             if t_first:
                 values[:, k] = pops[:, comp]
             else:
                 values[k, :] = pops[:, comp]
-            if len(errors) > max(1, (ax1.count * ax2.count) // 100):
-                manifest["warnings"].extend(errors)
-                raise ScanError(f"more than 1% of grid failed: {errors[:3]}")
+    elif solver == "analytic" and any(
+        ax.name == "beta" and ax.count >= _ARRAY_ROUTE_MIN_POINTS for ax in (ax1, ax2)
+    ):
+        values = _beta_rows(p, ax1, ax2, comp, sample_time, manifest)
     else:
 
         def cell(i, j):
@@ -318,15 +408,10 @@ def run_interferogram(
                 psi = evolve(pij, IntegrationSpec(w0, t_end, rel_tol, abs_tol), psi0)
                 return float(np.abs(psi[comp]) ** 2)
             pij, hp = _analytic_params(pij, manifest)
-            return float(_analytic_population_row(pij, hp, t_end, w0, psi0)[comp])
+            return float(_populations(analytic_propagator(t_end, w0, pij, hp))[comp])
 
-        values, errors = _grid_fill((ax1.count, ax2.count), cell)
-        if len(errors) > max(1, (ax1.count * ax2.count) // 100):
-            manifest["warnings"].extend(errors)
-            raise ScanError(f"more than 1% of grid failed: {errors[:3]}")
+        values = _grid_fill((ax1.count, ax2.count), cell, manifest)
 
-    if errors:
-        manifest["warnings"].extend(errors)
     if sample_time is not None:
         manifest["sample_time"] = float(sample_time)
     _check_finite(values, manifest)
@@ -357,7 +442,6 @@ def run_param_scan(
     psi0 = np.array([1.0, 0.0], dtype=complex)
     grid = axis.grid()
     values = np.empty((axis.count, 2))
-    errors: list[str] = []
     for i, v in enumerate(grid):
         pv = _override(p, axis.name, v)
         w0, w1 = asymptotic_window(pv)
@@ -368,15 +452,9 @@ def run_param_scan(
                 values[i] = np.abs(psi) ** 2
             else:
                 pa, hp = _analytic_params(pv, manifest)
-                values[i] = _analytic_population_row(pa, hp, t_end, w0, psi0)
-        except (SpecFunError, IntegratorError, DegenerateParameterError) as exc:
-            values[i] = np.nan
-            errors.append(f"{axis.name}={v}: {exc}")
-            if len(errors) > max(1, axis.count // 100):
-                manifest["warnings"].extend(errors)
-                raise ScanError(f"more than 1% of grid failed: {errors[:3]}") from exc
-    if errors:
-        manifest["warnings"].extend(errors)
+                values[i] = _populations(analytic_propagator(t_end, w0, pa, hp))
+        except _CELL_ERRORS as exc:
+            raise _cell_failure(manifest, f"{axis.name}={v}", exc) from exc
     if sample_time is not None:
         manifest["sample_time"] = float(sample_time)
     _check_finite(values, manifest)
@@ -458,7 +536,7 @@ def run_compare(
 
     numeric = np.abs(evolve_dense(p, spec, ts, psi0)) ** 2
     pa, hp = _analytic_params(p, manifest)
-    analytic = np.array([_analytic_population_row(pa, hp, t, t0, psi0) for t in ts])
+    analytic = _analytic_series(pa, hp, ts, t0)
 
     dev = np.abs(analytic - numeric) / np.maximum(1.0, np.abs(numeric))
     max_dev = float(dev.max())
@@ -485,35 +563,41 @@ def run_compare(
 # output formats
 # ---------------------------------------------------------------------------
 
-_FMT = "%.12e"
+# one row of three or six numbers, each in %.12e
+_ROW3 = ",".join(["%.12e"] * 3) + "\n"
+_ROW6 = ",".join(["%.12e"] * 6) + "\n"
+
+
+# rows formatted per write: bounds the Python lists a large map needs
+_ROWS_PER_WRITE = 4096
+
+
+def _write_rows(path, header: str, row_format: str, columns) -> Path:
+    path = Path(path)
+    columns = [np.asarray(col, dtype=float) for col in columns]
+    with path.open("w", encoding="utf-8") as f:
+        f.write(header + "\n")
+        for lo in range(0, columns[0].size, _ROWS_PER_WRITE):
+            rows = zip(*(col[lo : lo + _ROWS_PER_WRITE].tolist() for col in columns))
+            f.write("".join(row_format % row for row in rows))
+    return path
 
 
 def write_csv(path, result: ScanResult) -> Path:
     """Fixed three-column CSV.  2-D scans emit (axis1, axis2, value) row-major;
     1-D multi-column results encode the column index as axis2 (the manifest
     names the columns)."""
-    path = Path(path)
-    lines = ["axis1,axis2,value"]
     if len(result.axes) == 1:
         g = result.axes[0].grid()
         vals = np.atleast_2d(result.values)
         if vals.shape[0] != g.size:
             vals = vals.T
-        for i in range(g.size):
-            for j in range(vals.shape[1]):
-                lines.append(
-                    ",".join(_FMT % v for v in (g[i], float(j), vals[i, j]))
-                )
+        g1, g2 = g, np.arange(vals.shape[1], dtype=float)
     else:
-        g1 = result.axes[0].grid()
-        g2 = result.axes[1].grid()
-        for i in range(g1.size):
-            for j in range(g2.size):
-                lines.append(
-                    ",".join(_FMT % v for v in (g1[i], g2[j], result.values[i, j]))
-                )
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return path
+        g1, g2 = result.axes[0].grid(), result.axes[1].grid()
+        vals = result.values
+    columns = (np.repeat(g1, g2.size), np.tile(g2, g1.size), vals.ravel())
+    return _write_rows(path, "axis1,axis2,value", _ROW3, columns)
 
 
 def write_pgm(path, values: np.ndarray) -> tuple[float, float]:
@@ -541,10 +625,14 @@ def write_manifest(path, manifest: dict) -> Path:
 
 
 def write_compare_csv(path, report: CompareReport) -> Path:
-    path = Path(path)
-    lines = ["t,population1_analytic,population2_analytic,population1_numeric,population2_numeric,deviation"]
-    for i, t in enumerate(report.times):
-        row = (t, *report.analytic[i], *report.numeric[i], report.deviation[i])
-        lines.append(",".join(_FMT % v for v in row))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return path
+    header = (
+        "t,population1_analytic,population2_analytic,"
+        "population1_numeric,population2_numeric,deviation"
+    )
+    columns = (
+        report.times,
+        *np.asarray(report.analytic).T,
+        *np.asarray(report.numeric).T,
+        report.deviation,
+    )
+    return _write_rows(path, header, _ROW6, columns)

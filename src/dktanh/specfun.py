@@ -1,6 +1,7 @@
 """Complex special functions: gamma, Gauss/confluent hypergeometric, Weber D.
 
-Scalar complex-in/complex-out implementations tuned for the parameter ranges
+Scalar complex-in/complex-out implementations (and one array entry for 2F1)
+tuned for the parameter ranges
 of the tanh-sweep solver (|parameters| up to a few tens, hypergeometric
 argument on (0, 1)).  Everything is double precision with explicit
 truncation and transformation strategies (one cancellation-prone regime of
@@ -19,6 +20,17 @@ the confluent series runs in numpy extended precision):
   one parameter set's working set, and the cached factors are multiplied in
   the same order as when they were computed per point, so results are
   bit-identical to that.
+* ``hyp2f1_array`` - ``hyp2f1`` for several parameter triples at every point
+  of a float array x in (0, 1], the only arguments the propagator needs:
+  the series for x <= 1/2, the 1-z formula beyond (with its logarithmic
+  case), the Gauss series of all triples summed together as one numpy term
+  matrix, reading and growing the same memos.  It repeats ``hyp2f1``'s
+  floating-point operations in ``hyp2f1``'s order (CPython's complex
+  products and quotients, libm's log), so the two agree to the last bit
+  where CPython rounds each real product on its own, as on x86-64.  The
+  propagator's array route calls it once per basis evaluation of a whole
+  time or beta grid; single points keep the scalar ``hyp2f1``, which is
+  cheaper for one argument.
 * ``kummer_m`` - confluent series, switching to the large-argument expansion
   when |z| > 20 (needed by ``pcf_d`` out to |z^2/2| ~ 30 and beyond).
 * ``pcf_d``   - Weber parabolic cylinder function from the standard two-term
@@ -40,6 +52,7 @@ __all__ = [
     "cgamma",
     "rgamma",
     "hyp2f1",
+    "hyp2f1_array",
     "hyp2f1_derivative",
     "kummer_m",
     "pcf_d",
@@ -281,6 +294,213 @@ def hyp2f1(a, b, c, z, *, one_minus_z=None) -> complex:
     raise ConvergenceError(
         f"no 2F1 transformation reaches a convergent region for z = {z}"
     )
+
+
+# ---------------------------------------------------------------------------
+# Gauss hypergeometric 2F1 over an array of real arguments in (0, 1)
+# ---------------------------------------------------------------------------
+
+# Terms per pass of the array series: the first pass is short because most
+# points of a sweep sit near the saturated ends and stop within a few terms;
+# later passes double up to _SERIES_BLOCK, which bounds the term matrix
+# (live points x _SERIES_BLOCK) however deep a series goes.
+_SERIES_BLOCK_FIRST = 8
+_SERIES_BLOCK = 64
+
+
+def _cmul(x, y):
+    """x * y for complex arrays (or Python numbers), with CPython's complex
+    multiply: each real product rounded on its own.  numpy's complex
+    multiply may fuse a product into the sum, and the 1-z formula amplifies
+    a last-bit difference by its cancellation."""
+    xr, xi, yr, yi = x.real, x.imag, y.real, y.imag
+    out = np.empty(np.broadcast(xr, yr).shape, dtype=complex)
+    out.real = xr * yr - xi * yi
+    out.imag = xr * yi + xi * yr
+    return out
+
+
+def _cdiv(x, y):
+    """x / y for complex arrays (or Python numbers) by CPython's complex
+    division: Smith's method, scaled by the larger part of y.  Raises
+    ZeroDivisionError as CPython does."""
+    xr, xi, yr, yi = x.real, x.imag, y.real, y.imag
+    if np.any((yr == 0.0) & (yi == 0.0)):
+        raise ZeroDivisionError("complex division by zero")
+    by_re = np.abs(yr) >= np.abs(yi)
+    ratio = np.where(by_re, yi, yr) / np.where(by_re, yr, yi)
+    denom = np.where(by_re, yr + yi * ratio, yr * ratio + yi)
+    out = np.empty(np.broadcast(xr, yr).shape, dtype=complex)
+    out.real = np.where(by_re, xr + xi * ratio, xr * ratio + xi) / denom
+    out.imag = np.where(by_re, xi - xr * ratio, xi * ratio - xr) / denom
+    return out
+
+
+def _ratio_rows(series: list, kinds: list, start: int, stop: int) -> np.ndarray:
+    """Term ratios start..stop-1 of each series in ``kinds`` (indices into
+    ``series``), one row per series, from its ratio slot.  A slot shorter
+    than stop first grows by the ratios ``_gauss_series`` would record."""
+    rows = np.zeros((len(series), stop - start), dtype=complex)
+    for k in kinds:
+        a, b, c, slot, _ = series[k]
+        known = slot[0]
+        if len(known) < stop:
+            known = known + tuple(
+                (a + n) * (b + n) / ((c + n) * (n + 1)) for n in range(len(known), stop)
+            )
+            slot[0] = known
+        rows[k] = known[start:stop]
+    return rows
+
+
+def _gauss_series_array(series: list) -> list:
+    """``_gauss_series`` for each (a, b, c, slot, z) of ``series`` at every
+    point of its real array z, all series summed in one term matrix.
+
+    Each point stops where the scalar loop stops, at the second consecutive
+    term below _SERIES_TOL of the running sum.  ``cumprod`` and ``cumsum``
+    along a block of terms form the scalar loop's products and sums in its
+    order, seeded with the term and sum carried from the previous block, so
+    the sums round as the scalar loop's do (np.abs may round a magnitude
+    1 ulp away from ``abs``, which moves a stop only on an exact tie).  A
+    term that overflows leaves its point unconverged, as in the scalar loop.
+    """
+    z = np.concatenate([s[4] for s in series])
+    kind = np.repeat(np.arange(len(series)), [s[4].size for s in series])
+    out = np.empty(z.size, dtype=complex)
+    live = np.arange(z.size)
+    term = np.ones(z.size, dtype=complex)
+    total = term.copy()
+    small = np.zeros(z.size, dtype=bool)
+    start, width = 0, _SERIES_BLOCK_FIRST
+    with np.errstate(over="ignore", invalid="ignore"):
+        while live.size:
+            if start >= _MAX_TERMS:
+                a, b, c, _, _ = series[kind[live[0]]]
+                raise ConvergenceError(
+                    f"2F1 series did not converge in {_MAX_TERMS} terms "
+                    f"(a={a}, b={b}, c={c}, z={complex(z[live[0]])})"
+                )
+            stop = min(start + width, _MAX_TERMS)
+            width = min(2 * width, _SERIES_BLOCK)
+            live_kind = kind[live]
+            used = np.flatnonzero(np.bincount(live_kind, minlength=len(series)))
+            ratios = _ratio_rows(series, used.tolist(), start, stop)
+            # column 0 carries the previous term into the products, then the
+            # previous sum into the sums
+            block = np.empty((live.size, stop - start + 1), dtype=complex)
+            block[:, 0] = term
+            np.multiply(ratios[live_kind], z[live, None], out=block[:, 1:])
+            np.cumprod(block, axis=1, out=block)
+            size = np.abs(block[:, 1:])
+            term = block[:, -1].copy()
+            block[:, 0] = total
+            np.cumsum(block, axis=1, out=block)
+            sums = block[:, 1:]
+            below = size <= _SERIES_TOL * np.abs(sums)
+            done = below.copy()
+            done[:, 0] &= small
+            done[:, 1:] &= below[:, :-1]
+            hit = done.any(axis=1)
+            out[live[hit]] = sums[hit, done[hit].argmax(axis=1)]
+            keep = ~hit
+            live = live[keep]
+            term, total, small = term[keep], sums[keep, -1], below[keep, -1]
+            start = stop
+    return np.split(out, np.cumsum([s[4].size for s in series])[:-1])
+
+
+def _one_minus_z_array(a, b, c, omz, series: list):
+    """``_one_minus_z_formula`` at every point of omz: queues its two series
+    on ``series`` and returns the function that combines their sums with the
+    gamma factors in the scalar formula's order and rounding."""
+    d = c - a - b
+    g_c, g_d, rg_ca, rg_cb, g_md, rg_a, rg_b, slot1, slot2 = _connection(a, b, c)
+    k = len(series)
+    series.append((a, b, 1.0 - d, slot1, omz))
+    series.append((c - a, c - b, 1.0 + d, slot2, omz))
+
+    def combine(sums: list) -> np.ndarray:
+        t1 = _cmul(g_c * g_d * rg_ca * rg_cb, sums[k])
+        # libm's log, as cmath.log takes it for these arguments (positive,
+        # below 0.71); numpy's vectorised log may differ in the last bit
+        log_omz = np.fromiter(map(math.log, omz.tolist()), float, omz.size)
+        power = np.empty(omz.size, dtype=complex)
+        power.real = d.real * log_omz
+        power.imag = d.imag * log_omz
+        t2 = np.exp(power)
+        for factor in (g_c, g_md, rg_a, rg_b, sums[k + 1]):
+            t2 = _cmul(t2, factor)
+        return t1 + t2
+
+    return combine
+
+
+def _hyp2f1_array_plan(a, b, c, x, one_minus_x, series: list):
+    """Route every point of x as ``hyp2f1`` routes it, queue the Gauss series
+    the routes need on ``series``, and return the function that builds
+    F(a, b; c; x) from their sums."""
+    if _is_nonpositive_integer(c):
+        raise PoleError(f"2F1 parameter pole: c = {c}")
+    if a == 0 or b == 0:
+        return lambda sums: np.ones(x.size, dtype=complex)
+    if c == b or c == a:
+        e = a if c == b else b
+        value = np.array([cmath.exp(-e * cmath.log(v)) for v in one_minus_x.tolist()])
+        return lambda sums: value
+    d = c - a - b
+    logarithmic = abs(d - round(d.real)) < 1e-6
+    # the plain series reaches 0.92 in the logarithmic case, where the
+    # two-term formula degenerates
+    direct = x <= (0.92 if logarithmic else 0.5)
+    k = len(series)
+    series.append((a, b, c, _series_ratios(a, b, c), x[direct]))
+    omz = one_minus_x[~direct]
+    if not omz.size:
+        # no point on the 1-z route: its gamma factors are never needed
+        # (and may overflow where the series alone is fine)
+        formula = None
+    elif logarithmic:
+        # the limit of the formula at c +/- eps, averaged as in ``hyp2f1``
+        eps = 1e-7
+        plus = _one_minus_z_array(a, b, c + eps, omz, series)
+        minus = _one_minus_z_array(a, b, c - eps, omz, series)
+        formula = lambda sums: 0.5 * (plus(sums) + minus(sums))  # noqa: E731
+    else:
+        formula = _one_minus_z_array(a, b, c, omz, series)
+
+    def build(sums: list) -> np.ndarray:
+        out = np.empty(x.size, dtype=complex)
+        out[direct] = sums[k]
+        if formula is not None:
+            out[~direct] = formula(sums)
+        return out
+
+    return build
+
+
+def hyp2f1_array(triples, x: np.ndarray, one_minus_x: np.ndarray) -> list:
+    """``hyp2f1(a, b, c, xi, one_minus_z=1-xi)`` for every (a, b, c) of
+    ``triples`` at every point xi of a 1-D float array x in (0, 1], with 1-x
+    supplied alongside as in ``hyp2f1``; one complex array per triple.
+
+    Each point takes the route ``hyp2f1`` takes it on: the Gauss series for
+    x <= 1/2, the 1-z formula beyond, and in its logarithmic case the plain
+    series up to x = 0.92 and the c +/- eps average past it.  The Gauss
+    series of all triples and routes are summed together in one term
+    matrix.  The values agree with ``hyp2f1``'s to rounding, and to the last
+    bit on x86-64 (see the module docstring).  Raises PoleError and
+    ConvergenceError as ``hyp2f1`` does.
+    """
+    x = np.asarray(x, dtype=float)
+    one_minus_x = np.asarray(one_minus_x, dtype=float)
+    series: list = []
+    plans = [
+        _hyp2f1_array_plan(complex(a), complex(b), complex(c), x, one_minus_x, series)
+        for a, b, c in triples
+    ]
+    sums = _gauss_series_array(series) if series else []
+    return [build(sums) for build in plans]
 
 
 def hyp2f1_derivative(a, b, c, z, *, one_minus_z=None) -> complex:

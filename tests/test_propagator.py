@@ -6,6 +6,7 @@ import pytest
 
 from dktanh.integrator import IntegrationSpec, evolve, populations, propagator_numeric
 from dktanh.model import ModelParams
+from dktanh import specfun
 from dktanh.propagator import (
     DegenerateParameterError,
     HyperParams,
@@ -13,9 +14,11 @@ from dktanh.propagator import (
     analytic_propagator,
     basis_solutions,
     hyper_params,
+    sweep_propagator,
     transition_probabilities,
     x_of_t,
 )
+from dktanh.specfun import ConvergenceError
 
 FIG2_LOSSLESS = ModelParams(P=8, alpha=1, beta=0, kappa=5, delta=0)
 FIG2_LOSSY = ModelParams(P=8, alpha=1, beta=0, kappa=5, delta=1)
@@ -206,6 +209,82 @@ class TestAnalyticPropagator:
         assert Ua[0, 1] == 0 and Ua[1, 0] == 0
         Un = propagator_numeric(p, IntegrationSpec(-5, 5, 1e-11, 1e-11))
         assert np.max(np.abs(Ua - Un)) < 1e-8
+
+
+# scaled agreement required of the array route against the scalar route
+ROUTE_TOL = 1e-13
+
+
+def scalar_stack(ts, t0s, p, hp=None):
+    return np.array([analytic_propagator(t, t0, p, hp) for t, t0 in zip(ts, t0s)])
+
+
+class TestArrayRoute:
+    @pytest.mark.parametrize("p", [
+        FIG2_LOSSY,
+        FIG2_LOSSLESS,
+        ModelParams(P=8, alpha=1, beta=7, kappa=5, delta=1),
+        ModelParams(P=4, alpha=1, beta=0, kappa=0.3, delta=0.3),
+        ModelParams(P=0, alpha=1, beta=0, kappa=0.3, delta=0.3),
+        ModelParams(P=3, alpha=2.5, beta=-1, kappa=7, delta=2),
+        # decoupled: the closed form on both routes
+        ModelParams(P=8, alpha=1, beta=0, kappa=0, delta=0),
+        # the scan layer's degeneracy nudge of P ~ 0 without coupling
+        ModelParams(P=1e-12, alpha=1, beta=0, kappa=0, delta=1e-8),
+    ])
+    def test_time_grid_matches_scalar_route(self, p):
+        # x runs through (0, 1/2], hits 1/2 at t = -beta/alpha, and beyond
+        ts = np.concatenate([np.linspace(-12, 12, 97), [-p.beta / p.alpha]])
+        for t0 in (-12.0, 0.3):
+            got = analytic_propagator(ts, t0, p)
+            assert got.shape == (ts.size, 2, 2)
+            assert scaled_err(got, scalar_stack(ts, [t0] * ts.size, p)) < ROUTE_TOL
+
+    def test_per_point_starts(self):
+        hp = hyper_params(FIG2_LOSSY)
+        rng = np.random.default_rng(11)
+        ts, t0s = rng.uniform(-10, 10, 60), rng.uniform(-10, 10, 60)
+        got = analytic_propagator(ts, t0s, FIG2_LOSSY, hp)
+        assert scaled_err(got, scalar_stack(ts, t0s, FIG2_LOSSY, hp)) < ROUTE_TOL
+        # alpha = 1, beta = 0: sweep arguments are the times themselves
+        assert scaled_err(sweep_propagator(ts, t0s, FIG2_LOSSY, hp), got) == 0.0
+
+    def test_saturated_ends_at_the_log_floor(self):
+        # |u| >= 350 puts log x or log(1-x) below the -700 floor
+        for p in (FIG2_LOSSY, FIG2_LOSSLESS):
+            us = np.array([-400.0, -360.0, -20.0, 0.0, 20.0, 360.0, 400.0])
+            for u0 in (-400.0, -5.0):
+                got = sweep_propagator(us, u0, p)
+                ref = scalar_stack(us, [u0] * us.size, p)
+                assert np.all(np.isfinite(ref))
+                assert scaled_err(got, ref) < ROUTE_TOL
+
+    def test_gamma_overflow_only_where_the_scalar_route_meets_it(self):
+        # at P/alpha = 300 the 1-z route's gamma factors overflow; a grid that
+        # stays on the series side (x <= 1/2) never needs them
+        p = ModelParams(P=300, alpha=1, beta=0, kappa=5, delta=1)
+        below = np.linspace(-10, -1, 20)
+        assert scaled_err(analytic_propagator(below, -10.0, p),
+                          scalar_stack(below, [-10.0] * below.size, p)) < ROUTE_TOL
+        with pytest.raises(OverflowError):
+            analytic_propagator(1.0, -10.0, p)
+        with pytest.raises(OverflowError):
+            analytic_propagator(np.linspace(-10, 10, 20), -10.0, p)
+
+    def test_convergence_failure_raises_on_both_routes(self, monkeypatch):
+        specfun._series_ratios.cache_clear()
+        specfun._connection.cache_clear()
+        monkeypatch.setattr(specfun, "_MAX_TERMS", 10)
+        with pytest.raises(ConvergenceError):
+            analytic_propagator(0.1, -3.0, FIG2_LOSSY)
+        with pytest.raises(ConvergenceError):
+            analytic_propagator(np.linspace(-3, 3, 20), -3.0, FIG2_LOSSY)
+
+    def test_argument_shapes(self):
+        with pytest.raises(ValueError):
+            sweep_propagator(np.zeros((2, 2)), 0.0, FIG2_LOSSY)
+        with pytest.raises(ValueError):
+            sweep_propagator(np.zeros(3), np.zeros(2), FIG2_LOSSY)
 
 
 class TestTransitionProbabilities:

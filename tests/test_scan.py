@@ -1,12 +1,23 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from dktanh.model import ModelParams, Zone, classify_zone, detuning, eigenenergies
+from dktanh import scan
+from dktanh.model import (
+    ModelParams,
+    Zone,
+    asymptotic_window,
+    classify_zone,
+    detuning,
+    eigenenergies,
+)
+from dktanh.propagator import analytic_propagator
 from dktanh.scan import (
     AxisSpec,
     ScanError,
+    _analytic_params,
     _check_finite,
     run_compare,
     run_energy_map,
@@ -19,6 +30,7 @@ from dktanh.scan import (
     write_manifest,
     write_pgm,
 )
+from dktanh.specfun import ConvergenceError
 
 FIG2_LOSSY = ModelParams(P=8, alpha=1, beta=0, kappa=5, delta=1)
 
@@ -214,6 +226,101 @@ class TestAnalyticSolver:
         assert np.all(np.isfinite(res.values))
 
 
+def _cell_by_cell_map(p, ax1, ax2, comp=1, sample_time=None):
+    """The analytic parametric map one scalar propagator call per cell."""
+    manifest = {"warnings": []}
+    values = np.empty((ax1.count, ax2.count))
+    for i, v1 in enumerate(ax1.grid()):
+        for j, v2 in enumerate(ax2.grid()):
+            pij = replace(p, **{ax1.name: float(v1), ax2.name: float(v2)})
+            w0, w1 = asymptotic_window(pij)
+            t_end = w1 if sample_time is None else sample_time
+            pij, hp = _analytic_params(pij, manifest)
+            U = analytic_propagator(t_end, w0, pij, hp)
+            values[i, j] = abs(U[comp, 0]) ** 2
+    return values, manifest["warnings"]
+
+
+class TestBetaRows:
+    @pytest.mark.parametrize("ax1, ax2", [
+        (AxisSpec("delta", 0, 2, 9), AxisSpec("beta", -5, 5, 17)),
+        (AxisSpec("beta", -5, 5, 17), AxisSpec("kappa", 0, 10, 5)),
+    ])
+    def test_batched_map_equals_cell_by_cell_map(self, ax1, ax2):
+        p = ModelParams(P=8, alpha=1, beta=0, kappa=10, delta=1)
+        res = run_interferogram(p, ax1, ax2, solver="analytic")
+        ref, warnings = _cell_by_cell_map(p, ax1, ax2)
+        assert scaled_deviation(res.values, ref) < 1e-13
+        assert res.manifest["warnings"] == warnings == []
+
+    @pytest.mark.parametrize("beta_first", [True, False])
+    def test_degeneracy_warnings_per_cell_in_row_major_order(self, beta_first):
+        # the delta = 0 row (P ~ 0, no shift) is degenerate: each of its
+        # cells carries the nudge warning, as on the cell-by-cell map
+        p = ModelParams(P=1e-12, alpha=1, beta=0, kappa=0, delta=0)
+        deltas = AxisSpec("delta", -1, 1, 5)
+        betas = AxisSpec("beta", -3, 3, 16)
+        ax1, ax2 = (betas, deltas) if beta_first else (deltas, betas)
+        for sample_time in (None, 0.5):
+            res = run_interferogram(
+                p, ax1, ax2, solver="analytic", observable="population1",
+                sample_time=sample_time,
+            )
+            ref, warnings = _cell_by_cell_map(p, ax1, ax2, 0, sample_time)
+            assert scaled_deviation(res.values, ref) < 1e-13
+            assert len(warnings) == betas.count
+            assert res.manifest["warnings"] == warnings
+
+
+class TestFailures:
+    """The first failed cell or column aborts the scan with its own cause."""
+
+    CAUSE = "injected: series stalled"
+
+    def _fail_on_call(self, monkeypatch, target, k):
+        calls = {"n": 0}
+        real = getattr(scan, target)
+
+        def flaky(*args, **kwargs):
+            calls["n"] += 1
+            if calls["n"] == k:
+                raise ConvergenceError(self.CAUSE)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(scan, target, flaky)
+
+    def test_one_failed_cell_names_its_cause(self, monkeypatch):
+        self._fail_on_call(monkeypatch, "analytic_propagator", 57)
+        with pytest.raises(ScanError, match=self.CAUSE) as info:
+            run_interferogram(
+                FIG2_LOSSY, AxisSpec("delta", 0.5, 1.5, 20), AxisSpec("kappa", 1, 6, 20),
+                solver="analytic",
+            )
+        assert "(2,16)" in str(info.value)
+
+    def test_one_failed_column_names_its_cause(self, monkeypatch):
+        self._fail_on_call(monkeypatch, "analytic_propagator", 3)
+        with pytest.raises(ScanError, match=self.CAUSE) as info:
+            run_interferogram(
+                FIG2_LOSSY, AxisSpec("t", -5, 5, 20), AxisSpec("delta", 0.5, 1.5, 4),
+                solver="analytic",
+            )
+        assert "delta=" in str(info.value)
+
+    def test_one_failed_beta_row_names_its_cause(self, monkeypatch):
+        self._fail_on_call(monkeypatch, "sweep_propagator", 2)
+        with pytest.raises(ScanError, match=self.CAUSE):
+            run_interferogram(
+                FIG2_LOSSY, AxisSpec("delta", 0.5, 1.5, 3), AxisSpec("beta", -2, 2, 16),
+                solver="analytic",
+            )
+
+    def test_one_failed_scan_point_names_its_cause(self, monkeypatch):
+        self._fail_on_call(monkeypatch, "analytic_propagator", 4)
+        with pytest.raises(ScanError, match=self.CAUSE):
+            run_param_scan(FIG2_LOSSY, AxisSpec("kappa", 1, 6, 50), solver="analytic")
+
+
 class TestManifestSchema:
     def test_required_keys_present(self):
         res = run_time_series(FIG2_LOSSY, AxisSpec("t", -2, 2, 8), solver="both")
@@ -278,6 +385,60 @@ class TestWriters:
         text = path.read_text()
         assert text.index('"a"') < text.index('"b"')
         assert json.loads(text) == {"b": 1, "a": {"z": [1, 2]}}
+
+
+def _reference_csv(result):
+    """The per-number writer the row formatting replaced."""
+    fmt = "%.12e"
+    lines = ["axis1,axis2,value"]
+    if len(result.axes) == 1:
+        g = result.axes[0].grid()
+        vals = np.atleast_2d(result.values)
+        if vals.shape[0] != g.size:
+            vals = vals.T
+        for i in range(g.size):
+            for j in range(vals.shape[1]):
+                lines.append(",".join(fmt % v for v in (g[i], float(j), vals[i, j])))
+    else:
+        g1, g2 = result.axes[0].grid(), result.axes[1].grid()
+        for i in range(g1.size):
+            for j in range(g2.size):
+                lines.append(
+                    ",".join(fmt % v for v in (g1[i], g2[j], result.values[i, j]))
+                )
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def _reference_compare_csv(report):
+    lines = ["t,population1_analytic,population2_analytic,population1_numeric,"
+             "population2_numeric,deviation"]
+    for i, t in enumerate(report.times):
+        row = (t, *report.analytic[i], *report.numeric[i], report.deviation[i])
+        lines.append(",".join("%.12e" % v for v in row))
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+class TestWriterBytes:
+    def test_map_and_series_bytes_match_the_reference_writer(self, tmp_path):
+        rng = np.random.default_rng(4)
+        results = [
+            run_energy_map(FIG2_LOSSY, AxisSpec("delta", 0, 4, 7),
+                           AxisSpec("beta", -10, 10, 5), part="reE"),
+            run_time_series(FIG2_LOSSY, AxisSpec("t", -5, 5, 9), solver="analytic"),
+            run_param_scan(FIG2_LOSSY, AxisSpec("kappa", 1, 6, 4), solver="analytic"),
+        ]
+        # magnitudes and signs the physical outputs rarely show
+        odd = replace(results[0], values=rng.normal(size=(7, 5)) * 10.0 ** rng.integers(
+            -300, 300, size=(7, 5)))
+        odd.values[0, :3] = (-0.0, 1e-320, 0.1)
+        for k, res in enumerate(results + [odd]):
+            path = write_csv(tmp_path / f"{k}.csv", res)
+            assert path.read_bytes() == _reference_csv(res)
+
+    def test_compare_bytes_match_the_reference_writer(self, tmp_path):
+        report = run_compare(FIG2_LOSSY, (-10, 10), n=25)
+        path = write_compare_csv(tmp_path / "compare.csv", report)
+        assert path.read_bytes() == _reference_compare_csv(report)
 
 
 def test_nonfinite_values_are_hard_errors():

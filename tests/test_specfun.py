@@ -247,6 +247,87 @@ class TestHyp2f1Memo:
         assert specfun._connection.cache_info().currsize == 0
 
 
+# scaled agreement required of the array route against the scalar route
+ROUTE_TOL = 1e-13
+
+
+def _scalar_reference(triples, x, omx):
+    return [
+        np.array([hyp2f1(a, b, c, xi, one_minus_z=oi) for xi, oi in zip(x, omx)])
+        for a, b, c in triples
+    ]
+
+
+def _scaled_gap(got, ref):
+    return float(np.max(np.abs(got - ref) / np.maximum(1.0, np.abs(ref))))
+
+
+class TestHyp2f1Array:
+    BASIS_TRIPLES = (
+        (HP.rho, HP.omega, HP.gamma),
+        (HP.rho + 1, HP.omega + 1, HP.gamma + 1),
+        (HP.rho - HP.gamma + 1, HP.omega - HP.gamma + 1, 2 - HP.gamma),
+        (HP.rho - HP.gamma + 2, HP.omega - HP.gamma + 2, 3 - HP.gamma),
+    )
+
+    def _check(self, triples, x, omx=None):
+        x = np.asarray(x, dtype=float)
+        omx = 1.0 - x if omx is None else np.asarray(omx, dtype=float)
+        got = specfun.hyp2f1_array(triples, x, omx)
+        for g, r in zip(got, _scalar_reference(triples, x, omx)):
+            assert g.shape == x.shape
+            assert _scaled_gap(g, r) < ROUTE_TOL
+
+    def test_both_sides_of_one_half_and_the_point_itself(self):
+        x = np.concatenate([np.linspace(0.01, 0.99, 99), [0.5, 0.25, 0.75]])
+        for cold in (True, False):
+            if cold:
+                _clear_memos()
+            self._check(self.BASIS_TRIPLES, x)
+        self._check([ROUTE_CASES["series"][:3]], x)
+
+    def test_points_deep_in_both_tails(self):
+        # x down to 1e-300, and 1-x supplied where x itself rounds to 1
+        lx = np.linspace(-690.0, -1.0, 40)
+        self._check(self.BASIS_TRIPLES, np.exp(lx), -np.expm1(lx))
+        omx = np.exp(lx)
+        self._check(self.BASIS_TRIPLES, -np.expm1(lx), omx)
+
+    def test_integer_c_minus_a_minus_b_on_both_sides_of_092(self):
+        a, b, c = ROUTE_CASES["logarithmic"][:3]
+        x = [0.3, 0.5, 0.6, 0.9, 0.91, 0.92, 0.92000001, 0.93, 0.97, 0.999]
+        self._check([(a, b, c), (a, b, c - 2e-7), (1, 1, 2)], x)
+
+    def test_closed_forms(self):
+        x = np.linspace(0.05, 0.95, 19)
+        self._check([(0, 1 + 1j, 2), (1 + 1j, 0.5, 0.5), (0.5, 1 + 1j, 0.5)], x)
+
+    def test_memo_is_shared_with_the_scalar_route(self):
+        _clear_memos()
+        a, b, c = ROUTE_CASES["series"][:3]
+        specfun.hyp2f1_array([(a, b, c)], np.array([0.45]), np.array([0.55]))
+        known = specfun._series_ratios(a, b, c)[0]
+        assert len(known) > 0
+        hyp2f1(a, b, c, 0.45)
+        assert specfun._series_ratios(a, b, c)[0] is known
+
+    def test_parameter_pole_raises(self):
+        with pytest.raises(PoleError):
+            specfun.hyp2f1_array([(1, 2, -3)], np.array([0.3]), np.array([0.7]))
+
+    def test_unconverged_series_raises(self, monkeypatch):
+        # a term budget too small for z = 0.45 (about 60 terms are needed)
+        _clear_memos()
+        monkeypatch.setattr(specfun, "_MAX_TERMS", 20)
+        a, b, c = ROUTE_CASES["series"][:3]
+        with pytest.raises(ConvergenceError):
+            hyp2f1(a, b, c, 0.45)
+        _clear_memos()
+        x = np.array([0.01, 0.45, 0.6])
+        with pytest.raises(ConvergenceError, match="did not converge in 20 terms"):
+            specfun.hyp2f1_array([(a, b, c)], x, 1.0 - x)
+
+
 class TestHyp2f1Derivative:
     def test_at_zero(self):
         a, b, c = 0.7 + 1j, 2 - 0.5j, 1.3 + 0.2j
